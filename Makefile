@@ -3,7 +3,7 @@ GO ?= go
 # Per-target budget for the short fuzz pass `check` runs.
 FUZZTIME ?= 3s
 
-.PHONY: build test bench bench-baseline check fmt vet attrib fuzz-short metriclint trace-check service-check
+.PHONY: build test bench bench-baseline bench-smoke check fmt vet attrib fuzz-short metriclint trace-check service-check
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,13 @@ GATED_BENCH = WireCompress|BriscCompress|Batch|WireDecompress|RawDecode|InterpDi
 # several iterations.
 bench-baseline:
 	BENCH_METRICS=BENCH_baseline.json $(GO) test -race -short -run='^$$' -bench='$(GATED_BENCH)' -benchtime=5x .
+
+# Smoke test of the repo benchmark (perfbench/, its own module): every
+# BENCHMARK.json metric is emitted with its unit, and a flipped artifact
+# byte or a wrong oracle reference fails the benchmark's correctness
+# gate. Takes about two minutes on two cores.
+bench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # Byte-attribution audit: compscope exits nonzero unless every byte of
 # each artifact is accounted for, so this target fails on any
@@ -133,7 +140,8 @@ service-check:
 # counts are small and the race detector's randomized sync.Pool drops
 # swing them a few percent run to run, while the churn this gate
 # guards against (a reintroduced per-pass or per-stream allocation)
-# moves them by integer factors.
+# moves them by integer factors. bench-smoke runs the repo benchmark's
+# own tests.
 check: fmt vet build metriclint
 	$(GO) test -race ./...
 	$(MAKE) fuzz-short
@@ -142,3 +150,4 @@ check: fmt vet build metriclint
 	$(MAKE) attrib
 	$(MAKE) trace-check
 	$(MAKE) service-check
+	$(MAKE) bench-smoke

@@ -91,7 +91,9 @@ func CompressTraced(p *vm.Program, opt Options, rec *telemetry.Recorder) (*Objec
 	// up as an unexplained gap inside brisc.compress.
 	psp := rec.StartSpan("brisc.prepare", telemetry.Int("instrs_in", int64(len(p.Code))))
 	if !opt.NoEPI {
+		esp := rec.StartSpan("brisc.epi")
 		prog = peepholeEPI(p)
+		esp.End()
 	}
 	if err := c.buildUnits(prog); err != nil {
 		psp.End()
@@ -176,14 +178,14 @@ type compressor struct {
 	specCache     [][]int          // -1 plus each specializable field
 	dictCostCache []int            // dictEntryBytes
 
-	// cands is the persistent candidate-statistics map: the exact sum
-	// of per-anchor contributions over the current unit array. fullScan
-	// builds it once; rewrite maintains it incrementally by retracting
-	// the contributions of every anchor it is about to disturb and
-	// re-scanning those anchors after committing. nil outside run()
-	// (CompressWithDict never scans, so its rewrites skip the
-	// bookkeeping).
-	cands map[candKey]candStat
+	// tables hold the persistent candidate statistics, one table per
+	// pool worker (see cands.go): the exact sum of per-anchor
+	// contributions over the current unit array. run fills them by
+	// upkeep over every anchor; rewrite maintains them by retracting
+	// every anchor it is about to disturb and re-adding it after
+	// committing. nil outside run() (CompressWithDict never scans, so
+	// its rewrites skip the bookkeeping).
+	tables []candTable
 
 	rec    *telemetry.Recorder
 	pool   *parallel.Pool
@@ -244,13 +246,25 @@ func (c *compressor) findDict(p Pattern, h uint64) int {
 // buildUnits seeds one unit per instruction with base patterns and
 // block-relative targets.
 func (c *compressor) buildUnits(p *vm.Program) error {
+	// The serial set-up — block index, base dictionary, arena offsets —
+	// is its own span, apart from the seeding fan-out.
+	ssp := c.rec.StartSpan("brisc.seed")
 	p2 := *p
 	p2.ComputeBlockStarts()
-	blockOf := make(map[int32]int32, len(p2.BlockStarts))
-	for bi, idx := range p2.BlockStarts {
-		blockOf[int32(idx)] = int32(bi)
+	// blockOf maps an instruction index to its block index, -1 where no
+	// block starts.
+	blockOf := make([]int32, len(p2.Code))
+	for i := range blockOf {
+		blockOf[i] = -1
 	}
 	sc := c.sc
+	sc.starts = append(sc.starts[:0], 0)
+	for bi, idx := range p2.BlockStarts {
+		blockOf[idx] = int32(bi)
+		if idx > 0 {
+			sc.starts = append(sc.starts, idx)
+		}
+	}
 	c.dict = sc.dict[:0]
 	c.flocCache = sc.flocs[:0]
 	c.specCache = sc.specs[:0]
@@ -261,12 +275,8 @@ func (c *compressor) buildUnits(p *vm.Program) error {
 		bp := basePattern(vm.Opcode(op))
 		c.addDict(bp, patternHash(bp))
 	}
-	blockSet := make(map[int]bool, len(p2.BlockStarts))
-	for _, idx := range p2.BlockStarts {
-		blockSet[idx] = true
-	}
 	// Seeding is a per-instruction map from read-only state (blockOf,
-	// blockSet, the base dictionary) to disjoint c.units slots, so it
+	// the base dictionary) to disjoint c.units slots, so it
 	// shards cleanly across the pool. Instructions and operand values
 	// live in two flat arenas — one slot per unit, offsets precomputed
 	// serially — instead of two tiny heap slices per unit; full-cap
@@ -285,6 +295,7 @@ func (c *compressor) buildUnits(p *vm.Program) error {
 	}
 	off[n] = int32(total)
 	vals := growInt32(&sc.valInit, total)
+	ssp.End()
 	spans := parallel.Ranges(n, c.pool.Workers())
 	return c.pool.ForEach("brisc.build_units", len(spans), func(si int) error {
 		for i := spans[si][0]; i < spans[si][1]; i++ {
@@ -292,11 +303,11 @@ func (c *compressor) buildUnits(p *vm.Program) error {
 			// Rewrite code targets to block indices.
 			for fi, f := range cp.Op.Fields() {
 				if f == vm.FTgt {
-					b, ok := blockOf[getField(cp, fi)]
-					if !ok {
-						return fmt.Errorf("brisc: target %d of instr %d is not a block start", getField(cp, fi), i)
+					tgt := getField(cp, fi)
+					if tgt < 0 || int(tgt) >= n || blockOf[tgt] < 0 {
+						return fmt.Errorf("brisc: target %d of instr %d is not a block start", tgt, i)
 					}
-					setField(&cp, fi, b)
+					setField(&cp, fi, blockOf[tgt])
 				}
 			}
 			pat := int(cp.Op)
@@ -308,7 +319,7 @@ func (c *compressor) buildUnits(p *vm.Program) error {
 				pat:    pat,
 				vals:   uv,
 				nib:    c.dict[pat].operandNibbles(uv),
-				block:  blockSet[i],
+				block:  blockOf[i] >= 0,
 			}
 		}
 		return nil
@@ -339,22 +350,6 @@ func tableCostW(p Pattern) int {
 	return 12 + 11*len(p.Seq)
 }
 
-// candKey identifies a candidate without materializing its pattern:
-// a source pattern plus an optional one-field specialization for each
-// half (f == -1 means no specialization; pid2 == -1 means the candidate
-// is a pure specialization of pid1).
-type candKey struct {
-	pid1, f1 int
-	v1       int32
-	pid2, f2 int
-	v2       int32
-}
-
-type candStat struct {
-	count   int
-	savings int // accumulated program-byte reduction across occurrences
-}
-
 // floc locates one unfixed field within a pattern.
 type floc struct {
 	ii, fi int
@@ -377,13 +372,13 @@ func fieldNibbles(kind vm.FieldKind, v int32) int {
 func (c *compressor) materialize(k candKey) Pattern {
 	p := c.dict[k.pid1]
 	if k.f1 >= 0 {
-		fl := c.flocs(k.pid1)[k.f1]
+		fl := c.flocs(int(k.pid1))[k.f1]
 		p = specialize(p, fl.ii, fl.fi, k.v1)
 	}
 	if k.pid2 >= 0 {
 		q := c.dict[k.pid2]
 		if k.f2 >= 0 {
-			fl := c.flocs(k.pid2)[k.f2]
+			fl := c.flocs(int(k.pid2))[k.f2]
 			q = specialize(q, fl.ii, fl.fi, k.v2)
 		}
 		p = combine(p, q)
@@ -393,25 +388,39 @@ func (c *compressor) materialize(k candKey) Pattern {
 	return p
 }
 
+// afterPass, when non-nil, is called with the compressor after the
+// initial scan and after every greedy pass's rewrite. Tests use it to
+// check the incremental statistics against a fresh rescan.
+var afterPass func(c *compressor)
+
 // run executes the greedy multi-pass dictionary construction.
 //
-// Candidate statistics are built once by fullScan and then maintained
-// incrementally: each stat is a sum of independent per-anchor
-// contributions, and rewrite retracts/re-adds exactly the anchors whose
-// units it changes. The map entering every adopt call is therefore
-// identical to what a from-scratch rescan of the current unit array
+// Candidate statistics are built once by an upkeep over every anchor
+// and then maintained incrementally: each stat is a sum of independent
+// per-anchor contributions, and rewrite retracts/re-adds exactly the
+// anchors whose units it changes. The tables entering every adopt call
+// therefore hold what a from-scratch rescan of the current unit array
 // would produce, so the greedy choices — and the output bytes — are
-// unchanged (pinned by TestArtifactGolden and the determinism suites).
+// unchanged (pinned by TestArtifactGolden, the determinism suites, and
+// TestCandidateStatsMatchRescan).
 func (c *compressor) run() {
-	c.cands = c.sc.cands
+	c.tables = c.sc.candTables(c.pool.Workers())
 	ssp := c.rec.StartSpan("brisc.scan", telemetry.Int("units", int64(len(c.units))))
-	c.fullScan()
-	ssp.SetAttr(telemetry.Int("candidates", int64(len(c.cands))))
+	all := c.sc.dirty[:0]
+	for i := range c.units {
+		all = append(all, i)
+	}
+	c.sc.dirty = all
+	c.upkeep(all, 1)
+	ssp.SetAttr(telemetry.Int("candidates", int64(c.numCands())))
 	ssp.End()
+	if afterPass != nil {
+		afterPass(c)
+	}
 	for pass := 0; pass < c.opt.MaxPasses; pass++ {
 		c.passes++
 		sp := c.rec.StartSpan("brisc.pass", telemetry.Int("pass", int64(c.passes)))
-		nCands := len(c.cands)
+		nCands := c.numCands()
 		asp := c.rec.StartSpan("brisc.adopt", telemetry.Int("candidates", int64(nCands)))
 		adopted := c.adopt()
 		asp.SetAttr(telemetry.Int("adopted", int64(len(adopted))))
@@ -431,6 +440,9 @@ func (c *compressor) run() {
 		c.rewrite(adopted)
 		rsp.SetAttr(telemetry.Int("units", int64(len(c.units))))
 		rsp.End()
+		if afterPass != nil {
+			afterPass(c)
+		}
 		sp.Event("rewrite", telemetry.Int("units", int64(len(c.units))))
 		sp.SetAttr(telemetry.Int("units", int64(len(c.units))))
 		sp.End()
@@ -438,147 +450,18 @@ func (c *compressor) run() {
 			break // the pass did not yield K useful patterns
 		}
 	}
-	c.cands = nil
-}
-
-// fullScan seeds the candidate map by scanning every anchor once.
-//
-// The scan shards across the pool: each worker folds its contiguous
-// unit span into a private map, and the shard maps are merged
-// afterwards. The merge only sums per-key counters — a commutative
-// reduction — so the resulting statistics (and hence adoption, which
-// sorts by benefit with a total candKey tie-break) are identical to
-// the serial scan's.
-func (c *compressor) fullScan() {
-	spans := parallel.Ranges(len(c.units), c.pool.Workers())
-	if len(spans) <= 1 {
-		for i := range c.units {
-			c.scanUnit(i, 1, c.cands)
-		}
-		return
-	}
-	sc := c.sc
-	for len(sc.shards) < len(spans) {
-		sc.shards = append(sc.shards, nil)
-	}
-	c.pool.ForEach("brisc.scan_shard", len(spans), func(si int) error {
-		m := sc.shards[si]
-		if m == nil {
-			m = make(map[candKey]candStat, 1<<10)
-			sc.shards[si] = m
-		} else {
-			clear(m)
-		}
-		for i := spans[si][0]; i < spans[si][1]; i++ {
-			c.scanUnit(i, 1, m)
-		}
-		return nil
-	})
-	msp := c.rec.StartSpan("brisc.merge", telemetry.Int("shards", int64(len(spans))))
-	for si := range spans {
-		for k, st := range sc.shards[si] {
-			g := c.cands[k]
-			g.count += st.count
-			g.savings += st.savings
-			c.cands[k] = g
-		}
-	}
-	msp.SetAttr(telemetry.Int("candidates", int64(len(c.cands))))
-	msp.End()
-}
-
-// scanUnit folds the candidates anchored at unit i into m with the
-// given sign: +1 proposes them (the full scan and post-rewrite re-adds)
-// and -1 retracts a contribution previously added for the exact same
-// unit state. A contribution depends only on units[i], units[i+1], and
-// immutable dictionary entries, so retract-mutate-re-add keeps m equal
-// to a from-scratch scan of the current array; entries whose stats
-// reach zero are deleted to preserve that equivalence exactly.
-//
-// Combination pairs (i, i+1) are anchored at i, so a contiguous span
-// scan reads one unit past its upper bound but never writes — parallel
-// shards overlap only in reads.
-func (c *compressor) scanUnit(i, sign int, m map[candKey]candStat) {
-	add := func(k candKey, saved int) {
-		if saved <= 0 {
-			return
-		}
-		st := m[k]
-		st.count += sign
-		st.savings += sign * saved
-		if st == (candStat{}) {
-			delete(m, k)
-		} else {
-			m[k] = st
-		}
-	}
-	ceil2 := func(n int) int { return (n + 1) / 2 }
-
-	u := &c.units[i]
-	uFlocs := c.flocCache[u.pat]
-	uSize := 1 + ceil2(u.nib)
-
-	if !c.opt.NoSpecialize {
-		// One-field specializations of the unit's pattern. Code
-		// targets are not specialized: burned-in branch
-		// destinations almost never repeat.
-		for k, fl := range uFlocs {
-			if fl.kind == vm.FTgt {
-				continue
-			}
-			newSize := 1 + ceil2(u.nib-fieldNibbles(fl.kind, u.vals[k]))
-			add(candKey{pid1: u.pat, f1: k, v1: u.vals[k], pid2: -1, f2: -1},
-				uSize-newSize)
-		}
-	}
-	if c.opt.NoCombine || i+1 >= len(c.units) {
-		return
-	}
-	v := &c.units[i+1]
-	if v.block {
-		return // never combine across a basic-block boundary
-	}
-	vFlocs := c.flocCache[v.pat]
-	oldSize := uSize + 1 + ceil2(v.nib)
-	// Zero-or-one-field specializations of each side, crossed (the
-	// paper's augmented operand-specialized sets).
-	uChoices := c.specCache[u.pat]
-	vChoices := c.specCache[v.pat]
-	for _, uc := range uChoices {
-		nibU := u.nib
-		if uc >= 0 {
-			nibU -= fieldNibbles(uFlocs[uc].kind, u.vals[uc])
-		}
-		for _, vc := range vChoices {
-			nibV := v.nib
-			if vc >= 0 {
-				nibV -= fieldNibbles(vFlocs[vc].kind, v.vals[vc])
-			}
-			newSize := 1 + ceil2(nibU+nibV)
-			k := candKey{pid1: u.pat, f1: uc, pid2: v.pat, f2: vc}
-			if uc >= 0 {
-				k.v1 = u.vals[uc]
-			}
-			if vc >= 0 {
-				k.v2 = v.vals[vc]
-			}
-			add(k, oldSize-newSize)
-		}
-	}
+	c.tables = nil
 }
 
 // adopt selects the K best candidates by benefit and installs them in
 // the dictionary, returning their indices.
 func (c *compressor) adopt() []int {
-	list := c.sc.scored[:0]
-	for k, st := range c.cands {
-		b := st.savings - c.dictCostOfKey(k)
-		if !c.opt.AbundantMemory {
-			b -= 12 + 11*c.seqLenOfKey(k)
-		}
-		if b > 0 {
-			list = append(list, scoredCand{k, b})
-		}
+	list, fanned := c.score()
+	if fanned {
+		// Selection — the total-order sort and the materialization of
+		// the winners — gets its own span beside the scoring fan-out.
+		sp := c.rec.StartSpan("brisc.select")
+		defer sp.End()
 	}
 	sort.Slice(list, func(i, j int) bool {
 		if list[i].b != list[j].b {
@@ -601,11 +484,10 @@ func (c *compressor) adopt() []int {
 		}
 		ids = append(ids, c.addDict(p, h))
 		if c.rec.Enabled() {
-			st := c.cands[s.key]
-			c.rec.Add("brisc.dict.savings_p", int64(st.savings))
+			c.rec.Add("brisc.dict.savings_p", int64(s.st.savings))
 			c.rec.Add("brisc.dict.cost_w", int64(tableCostW(p)))
 			c.rec.Observe("brisc.adopt.benefit", float64(s.b))
-			c.rec.Observe("brisc.adopt.occurrences", float64(st.count))
+			c.rec.Observe("brisc.adopt.occurrences", float64(s.st.count))
 		}
 	}
 	c.sc.adopted = ids
@@ -628,7 +510,7 @@ func (c *compressor) dictCostOfKey(k candKey) int {
 	return cost
 }
 
-func (c *compressor) baseDictCost(pid int) int { return c.dictCostCache[pid] }
+func (c *compressor) baseDictCost(pid int32) int { return c.dictCostCache[pid] }
 
 func (c *compressor) seqLenOfKey(k candKey) int {
 	n := len(c.dict[k.pid1].Seq)
@@ -638,30 +520,13 @@ func (c *compressor) seqLenOfKey(k candKey) int {
 	return n
 }
 
-func candKeyLess(a, b candKey) bool {
-	switch {
-	case a.pid1 != b.pid1:
-		return a.pid1 < b.pid1
-	case a.f1 != b.f1:
-		return a.f1 < b.f1
-	case a.v1 != b.v1:
-		return a.v1 < b.v1
-	case a.pid2 != b.pid2:
-		return a.pid2 < b.pid2
-	case a.f2 != b.f2:
-		return a.f2 < b.f2
-	default:
-		return a.v2 < b.v2
-	}
-}
-
 // rewrite applies newly adopted patterns: combinations first (merging
 // adjacent units), then the cheapest matching pattern per unit. Both
 // stages compute their changes read-only in parallel and commit them
 // serially; when candidate statistics are live the commit is bracketed
 // by retracting every disturbed anchor and re-scanning it afterwards.
 func (c *compressor) rewrite(newIDs []int) {
-	track := c.cands != nil
+	track := c.tables != nil
 	combinators := c.sc.combs[:0]
 	for _, id := range newIDs {
 		if len(c.dict[id].Seq) >= 2 {
@@ -746,73 +611,80 @@ func (c *compressor) combineUnits(combinators []int, track bool) {
 	if nm == 0 {
 		return // no merges: the unit array is unchanged
 	}
-	// The serial tail — retract disturbed anchors, concatenate the chunk
-	// outputs, re-add against the committed array — is its own span so
-	// the trace separates fan-out time from commit time.
+	// The serial tail — collect the disturbed anchors, concatenate the
+	// chunk outputs — is its own span so the trace separates it from
+	// the fan-outs. The concatenation fills the spare unit buffer
+	// (c.units always aliases sc.units, never sc.units2, so the target
+	// is disjoint from the source) and c.units keeps the pre-merge
+	// array until the retraction has read it.
 	csp := c.rec.StartSpan("brisc.commit", telemetry.Int("merges", int64(nm)))
-	defer csp.End()
-	if track {
-		// Retract, against the pre-merge array, every anchor whose
-		// (unit, successor) view a merge invalidates: the merged pair's
-		// own two anchors plus the left neighbor whose pair reads into
-		// it. Adjacent merges share anchors, hence the dedupe.
-		dirty := sc.dirty[:0]
-		for ci := range chunks {
-			for _, m := range sc.chunkMerges[ci] {
-				i := int(m.oldIdx)
-				dirty = appendAnchor(dirty, i-1, len(c.units))
-				dirty = appendAnchor(dirty, i, len(c.units))
-				dirty = appendAnchor(dirty, i+1, len(c.units))
-			}
-		}
-		dirty = dedupeSorted(dirty)
-		for _, j := range dirty {
-			c.scanUnit(j, -1, c.cands)
-		}
-		sc.dirty = dirty
+	old, readd := sc.dirty[:0], sc.readd[:0]
+	newLen := 0
+	for ci := range chunks {
+		newLen += len(sc.chunkUnits[ci])
 	}
-	// Commit: concatenate the chunk outputs into the spare unit buffer.
-	// c.units always aliases sc.units (never sc.units2), so the append
-	// target is disjoint from the source.
-	old := c.units
 	newUnits := sc.units2[:0]
 	for ci := range chunks {
+		if track {
+			// Retract every anchor whose (unit, successor) view a merge
+			// invalidates: the merged pair's own two anchors plus the
+			// left neighbor whose pair reads into it. Re-add the merged
+			// units' anchors and their left neighbors. Adjacent merges
+			// share anchors; appendAnchor drops the repeats.
+			for _, m := range sc.chunkMerges[ci] {
+				i, g := int(m.oldIdx), len(newUnits)+int(m.outIdx)
+				old = appendAnchor(old, i-1, len(c.units))
+				old = appendAnchor(old, i, len(c.units))
+				old = appendAnchor(old, i+1, len(c.units))
+				readd = appendAnchor(readd, g-1, newLen)
+				readd = appendAnchor(readd, g, newLen)
+			}
+		}
 		newUnits = append(newUnits, sc.chunkUnits[ci]...)
 	}
-	c.units = newUnits
-	sc.units, sc.units2 = newUnits, old
-	if track {
-		// Re-add the merged units' anchors (and their left neighbors)
-		// against the committed array.
-		dirty := sc.dirty[:0]
-		base := 0
-		for ci := range chunks {
-			for _, m := range sc.chunkMerges[ci] {
-				g := base + int(m.outIdx)
-				dirty = appendAnchor(dirty, g-1, len(c.units))
-				dirty = appendAnchor(dirty, g, len(c.units))
+	sc.dirty, sc.readd = old, readd
+	// Shift each block start left by the merges before it. A merge at
+	// i never reaches a block start at i+1, so every start survives.
+	ci, mi, shift := 0, 0, 0
+	for k, st := range sc.starts {
+		for ci < len(chunks) {
+			ms := sc.chunkMerges[ci]
+			if mi == len(ms) {
+				ci, mi = ci+1, 0
+				continue
 			}
-			base += len(sc.chunkUnits[ci])
+			if int(ms[mi].oldIdx) >= st {
+				break
+			}
+			shift, mi = shift+1, mi+1
 		}
-		dirty = dedupeSorted(dirty)
-		for _, j := range dirty {
-			c.scanUnit(j, 1, c.cands)
-		}
-		sc.dirty = dirty
+		sc.starts[k] = st - shift
+	}
+	csp.End()
+	if track {
+		c.upkeep(old, -1)
+	}
+	sc.units, sc.units2 = newUnits, c.units
+	c.units = newUnits
+	if track {
+		c.upkeep(readd, 1)
 	}
 }
 
 // repattern re-covers units with cheaper new patterns: a pure per-unit
 // decision against the read-only dictionary, sharded across the pool
-// into per-span change lists and applied serially.
+// into per-span change lists (each carrying the unit's new operand
+// values) and applied serially.
 func (c *compressor) repattern(specializers []int, track bool) {
 	sc := c.sc
 	spans := parallel.Ranges(len(c.units), c.pool.Workers())
 	for len(sc.changeShards) < len(spans) {
 		sc.changeShards = append(sc.changeShards, nil)
+		sc.repatVals = append(sc.repatVals, int32Arena{})
 	}
 	c.pool.ForEach("brisc.repattern", len(spans), func(si int) error {
 		out := sc.changeShards[si][:0]
+		vals := &sc.repatVals[si]
 		for i := spans[si][0]; i < spans[si][1]; i++ {
 			u := &c.units[i]
 			curSize := c.dict[u.pat].encodedSize(u.vals)
@@ -827,7 +699,9 @@ func (c *compressor) repattern(specializers []int, track bool) {
 				}
 			}
 			if best >= 0 {
-				out = append(out, repatChange{i, best})
+				p := &c.dict[best]
+				uv := p.appendExtract(vals.alloc(len(c.flocCache[best])), u.instrs)
+				out = append(out, repatChange{idx: i, pat: best, vals: uv, nib: p.operandNibbles(uv)})
 			}
 		}
 		sc.changeShards[si] = out
@@ -840,13 +714,10 @@ func (c *compressor) repattern(specializers []int, track bool) {
 	if total == 0 {
 		return
 	}
-	// The serial application — retract, rewrite the changed slots,
-	// re-add — is its own span, separating it from the sharded scan.
-	asp := c.rec.StartSpan("brisc.apply", telemetry.Int("changes", int64(total)))
-	defer asp.End()
 	if track {
 		// A change at idx rewrites only slot idx, so the disturbed
 		// anchors are idx itself and its left neighbor's pair view.
+		asp := c.rec.StartSpan("brisc.apply", telemetry.Int("changes", int64(total)))
 		dirty := sc.dirty[:0]
 		for si := range spans {
 			for _, ch := range sc.changeShards[si] {
@@ -854,75 +725,53 @@ func (c *compressor) repattern(specializers []int, track bool) {
 				dirty = appendAnchor(dirty, ch.idx, len(c.units))
 			}
 		}
-		dirty = dedupeSorted(dirty)
-		for _, j := range dirty {
-			c.scanUnit(j, -1, c.cands)
-		}
 		sc.dirty = dirty
+		asp.End()
+		c.upkeep(dirty, -1)
 	}
 	for si := range spans {
 		for _, ch := range sc.changeShards[si] {
 			u := &c.units[ch.idx]
-			p := &c.dict[ch.pat]
-			uv := p.appendExtract(sc.vals.alloc(len(c.flocCache[ch.pat])), u.instrs)
-			u.pat = ch.pat
-			u.vals = uv
-			u.nib = p.operandNibbles(uv)
+			u.pat, u.vals, u.nib = ch.pat, ch.vals, ch.nib
 		}
 	}
 	if track {
-		for _, j := range sc.dirty {
-			c.scanUnit(j, 1, c.cands)
-		}
+		c.upkeep(sc.dirty, 1)
 	}
 }
 
-// appendAnchor appends anchor index j when it is a valid unit index.
+// appendAnchor appends anchor index j when it is a valid unit index
+// past the last one in dst. Rewrites visit their disturbed anchors in
+// ascending order, repeating only the shared neighbors of adjacent
+// changes, so this keeps dst sorted and duplicate-free — each anchor
+// is retracted and re-added exactly once — without a sort.
 func appendAnchor(dst []int, j, n int) []int {
-	if j >= 0 && j < n {
-		return append(dst, j)
+	if j < 0 || j >= n || (len(dst) > 0 && j <= dst[len(dst)-1]) {
+		return dst
 	}
-	return dst
-}
-
-// dedupeSorted sorts xs ascending and drops duplicates in place, so
-// each disturbed anchor is retracted and re-added exactly once.
-func dedupeSorted(xs []int) []int {
-	sort.Ints(xs)
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
+	return append(dst, j)
 }
 
 // blockChunks partitions the unit array into contiguous [lo, hi) spans
-// that all begin at basic-block starts, one group of whole block runs
-// per worker. Merging never crosses a block boundary, so each chunk
+// that all begin at basic-block starts (sc.starts, kept current by
+// buildUnits and combineUnits), one group of whole block runs per
+// worker. Merging never crosses a block boundary, so each chunk
 // rewrites independently.
 func (c *compressor) blockChunks() [][2]int {
 	if len(c.units) == 0 {
 		return nil
 	}
-	starts := append(c.sc.starts[:0], 0)
-	for i := 1; i < len(c.units); i++ {
-		if c.units[i].block {
-			starts = append(starts, i)
-		}
-	}
-	c.sc.starts = starts
-	groups := parallel.Ranges(len(starts), c.pool.Workers())
-	chunks := make([][2]int, len(groups))
-	for gi, g := range groups {
+	starts := c.sc.starts
+	chunks := c.sc.chunks[:0]
+	for _, g := range parallel.Ranges(len(starts), c.pool.Workers()) {
 		lo := starts[g[0]]
 		hi := len(c.units)
 		if g[1] < len(starts) {
 			hi = starts[g[1]]
 		}
-		chunks[gi] = [2]int{lo, hi}
+		chunks = append(chunks, [2]int{lo, hi})
 	}
+	c.sc.chunks = chunks
 	return chunks
 }
 

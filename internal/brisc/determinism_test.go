@@ -2,6 +2,7 @@ package brisc
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -11,12 +12,24 @@ import (
 	"repro/internal/workload"
 )
 
+// optVariants are the option sets the determinism suites cover.
+var optVariants = []Options{
+	{},
+	{AbundantMemory: true},
+	{NoSpecialize: true},
+	{NoCombine: true},
+}
+
+// detWorkers are the worker counts the determinism suites compare;
+// 3 gives an odd number of candidate tables.
+var detWorkers = []int{1, 2, 3, 8}
+
 // TestParallelObjectIdentical pins the tentpole contract for BRISC:
-// the serialized object at Workers=1 is byte-identical to Workers=8,
-// across workloads and option variants. The parallel candidate scan
-// merges per-shard statistics commutatively and adoption tie-breaks on
-// a total candidate order, so no scheduling can perturb the greedy
-// passes.
+// the serialized object is byte-identical for every worker count,
+// across workloads and option variants. The candidate tables are sums
+// of per-anchor contributions, whichever table and order they land in,
+// and adoption tie-breaks on a total candidate order, so no table count
+// or scheduling can perturb the greedy passes.
 func TestParallelObjectIdentical(t *testing.T) {
 	sources := map[string]string{
 		"wep":  workload.Generate(workload.Wep),
@@ -26,31 +39,112 @@ func TestParallelObjectIdentical(t *testing.T) {
 	if testing.Short() {
 		delete(sources, "word")
 	}
-	optVariants := []Options{
-		{},
-		{AbundantMemory: true},
-		{NoSpecialize: true},
-		{NoCombine: true},
-	}
 	for name, src := range sources {
 		prog := compileProg(t, name, src)
-		for vi, base := range optVariants {
-			serial, par := base, base
-			serial.Workers = 1
-			par.Workers = 8
-			objS, err := Compress(prog, serial)
-			if err != nil {
-				t.Fatalf("%s variant %d serial: %v", name, vi, err)
-			}
-			objP, err := Compress(prog, par)
-			if err != nil {
-				t.Fatalf("%s variant %d parallel: %v", name, vi, err)
-			}
-			if !bytes.Equal(objS.Bytes(), objP.Bytes()) {
-				t.Errorf("%s variant %d: object differs between Workers=1 and Workers=8", name, vi)
+		for vi, opt := range optVariants {
+			var want []byte
+			for _, w := range detWorkers {
+				opt.Workers = w
+				obj, err := Compress(prog, opt)
+				if err != nil {
+					t.Fatalf("%s variant %d Workers=%d: %v", name, vi, w, err)
+				}
+				if w == 1 {
+					want = obj.Bytes()
+				} else if !bytes.Equal(obj.Bytes(), want) {
+					t.Errorf("%s variant %d: object differs between Workers=1 and Workers=%d", name, vi, w)
+				}
 			}
 		}
 	}
+}
+
+// TestCandidateStatsMatchRescan pins the incremental-statistics
+// invariant directly: after the initial scan and after every greedy
+// pass, the union of the candidate tables equals a fresh serial scan of
+// the current unit array, every entry sits in the table its hash picks,
+// and each table's live count matches its occupied slots. Under the race
+// detector only wep runs: the determinism suites already drive the
+// sharded upkeep there, and word would take minutes.
+func TestCandidateStatsMatchRescan(t *testing.T) {
+	sources := map[string]string{
+		"wep":  workload.Generate(workload.Wep),
+		"word": workload.Generate(workload.Word),
+	}
+	if testing.Short() || raceEnabled {
+		delete(sources, "word")
+	}
+	for name, src := range sources {
+		prog := compileProg(t, name, src)
+		for vi, opt := range optVariants {
+			for _, w := range detWorkers {
+				opt.Workers = w
+				checks := 0
+				afterPass = func(c *compressor) {
+					checks++
+					if err := checkRescan(c); err != nil {
+						t.Fatalf("%s variant %d Workers=%d, check %d: %v", name, vi, w, checks, err)
+					}
+				}
+				_, err := Compress(prog, opt)
+				afterPass = nil
+				if err != nil {
+					t.Fatalf("%s variant %d Workers=%d: %v", name, vi, w, err)
+				}
+				if checks < 2 {
+					t.Fatalf("%s variant %d Workers=%d: hook ran %d times, want the scan and at least one pass", name, vi, w, checks)
+				}
+			}
+		}
+	}
+}
+
+// checkRescan compares c's candidate tables with a from-scratch serial
+// scan of c's unit array.
+func checkRescan(c *compressor) error {
+	if len(c.tables) != c.pool.Workers() {
+		return fmt.Errorf("%d tables for %d workers", len(c.tables), c.pool.Workers())
+	}
+	want := map[candKey]candStat{}
+	out := make([][]candRec, 1)
+	for i := range c.units {
+		out[0] = out[0][:0]
+		c.scanAnchor(i, out)
+		for _, r := range out[0] {
+			st := want[r.key]
+			st.count++
+			st.savings += r.saved
+			want[r.key] = st
+		}
+	}
+	got := 0
+	for ti := range c.tables {
+		tb := &c.tables[ti]
+		live := 0
+		for _, e := range tb.slots {
+			if e.count == 0 {
+				continue
+			}
+			live++
+			if e.hash != e.key.hash() {
+				return fmt.Errorf("key %+v stored with hash %#x, want %#x", e.key, e.hash, e.key.hash())
+			}
+			if s := shardOf(e.hash, len(c.tables)); s != ti {
+				return fmt.Errorf("key %+v in table %d, hash picks %d", e.key, ti, s)
+			}
+			if w, ok := want[e.key]; !ok || w != e.candStat {
+				return fmt.Errorf("key %+v: table has %+v, rescan has %+v (present %v)", e.key, e.candStat, w, ok)
+			}
+		}
+		if live != tb.live {
+			return fmt.Errorf("table %d counts %d live entries, holds %d", ti, tb.live, live)
+		}
+		got += live
+	}
+	if got != len(want) {
+		return fmt.Errorf("tables hold %d candidates, rescan finds %d", got, len(want))
+	}
+	return nil
 }
 
 // TestReusedScratchConsecutiveIdentity pins the scratch-recycling

@@ -15,11 +15,12 @@ import (
 // builds the object from fresh allocations — so a scratch is safe to
 // reuse the moment its run returns.
 
-// scoredCand is one candidate with its computed benefit, collected by
-// adopt for the per-pass top-K sort.
+// scoredCand is one candidate with its stat and computed benefit,
+// collected by adopt for the per-pass top-K sort.
 type scoredCand struct {
 	key candKey
-	b   int
+	st  candStat
+	b   int32
 }
 
 // mergeRec records one opcode-combination merge: the anchor index in
@@ -29,12 +30,14 @@ type mergeRec struct {
 	oldIdx, outIdx int32
 }
 
-// repatChange is one pending unit re-patterning, computed read-only in
-// the parallel repattern scan and applied serially so candidate stats
-// can be retracted before the unit mutates.
+// repatChange is one pending unit re-patterning — the slot, its new
+// pattern, and its operand values and nibble count under that pattern —
+// computed read-only in the parallel repattern scan and applied
+// serially so candidate stats can be retracted before the unit mutates.
 type repatChange struct {
-	idx int
-	pat int
+	idx, pat int
+	vals     []int32
+	nib      int
 }
 
 // int32Arena bump-allocates small int32 slices from chunked backing.
@@ -99,19 +102,21 @@ type compressScratch struct {
 	valInit []int32
 	valOff  []int32
 
-	// Incremental candidate statistics: the persistent candKey→candStat
-	// map plus per-shard maps for the initial parallel full scan.
-	cands  map[candKey]candStat
-	shards []map[candKey]candStat
+	// Incremental candidate statistics: the per-worker tables and the
+	// upkeep's route buffers (route[span][table], emptied after each
+	// batch and bounded by upkeepBatch).
+	tables []candTable
+	route  [][][]candRec
 
 	// Per-pass working sets.
-	scored  []scoredCand
-	combs   []int
-	dirty   []int
-	vals    int32Arena // repattern operand values
-	chunks  [][2]int
-	starts  []int
-	adopted []int
+	scored     []scoredCand
+	scoreParts [][]scoredCand
+	combs      []int
+	dirty      []int // anchors to retract (and, for repattern, re-add)
+	readd      []int // anchors to re-add after a merge commit
+	chunks     [][2]int
+	starts     []int
+	adopted    []int
 
 	// Per-chunk / per-span rewrite buffers (≤ pool workers of each).
 	// Arenas are indexed by chunk, and chunks are disjoint, so workers
@@ -121,6 +126,7 @@ type compressScratch struct {
 	catArenas    []instrArena // merged units' instruction sequences
 	mergeVals    []int32Arena // merged units' operand values
 	changeShards [][]repatChange
+	repatVals    []int32Arena // re-patterned units' operand values
 
 	// Compressor-level caches reused as empty slices.
 	dict     []Pattern
@@ -133,12 +139,14 @@ type compressScratch struct {
 // reset hook drops per-run entries but keeps grown capacity, so batch
 // workloads reach a steady state with near-zero scratch allocation.
 var compressPool = parallel.NewScratch(
-	func() *compressScratch {
-		return &compressScratch{cands: make(map[candKey]candStat, 1<<12)}
-	},
+	func() *compressScratch { return new(compressScratch) },
 	func(sc *compressScratch) {
-		clear(sc.cands)
-		sc.vals.reset()
+		for i := range sc.tables {
+			sc.tables[i].reset()
+		}
+		for i := range sc.repatVals {
+			sc.repatVals[i].reset()
+		}
 		for i := range sc.catArenas {
 			sc.catArenas[i].reset()
 		}
@@ -173,8 +181,39 @@ var compressPool = parallel.NewScratch(
 			}
 			sc.chunkUnits[i] = sc.chunkUnits[i][:0]
 		}
+		for i := range sc.changeShards {
+			clear(sc.changeShards[i])
+			sc.changeShards[i] = sc.changeShards[i][:0]
+		}
 	},
 )
+
+// candTables returns n empty candidate tables.
+func (sc *compressScratch) candTables(n int) []candTable {
+	for len(sc.tables) < n {
+		sc.tables = append(sc.tables, candTable{})
+	}
+	ts := sc.tables[:n]
+	for i := range ts {
+		ts[i].init()
+	}
+	return ts
+}
+
+// routeBuffers returns empty route buffers for spans scan spans, each
+// with n per-table slices.
+func (sc *compressScratch) routeBuffers(spans, n int) [][][]candRec {
+	for len(sc.route) < spans {
+		sc.route = append(sc.route, nil)
+	}
+	for s := range spans {
+		for len(sc.route[s]) < n {
+			sc.route[s] = append(sc.route[s], nil)
+		}
+		sc.route[s] = sc.route[s][:n]
+	}
+	return sc.route[:spans]
+}
 
 // growUnits returns *s resized to length n, reallocating only when
 // capacity is short.

@@ -305,7 +305,7 @@ func (s *Server) handle(endpoint string, fn func(ctx context.Context, body []byt
 		writeJSON(w, http.StatusOK, resp)
 		if s.rec.Enabled() {
 			s.rec.Add("compressd.endpoint."+endpoint+".ok", 1)
-			s.rec.Observe("compressd.http.duration_ms", float64(time.Since(start).Milliseconds()))
+			s.rec.Observe("compressd.http.duration_ms", float64(time.Since(start))/float64(time.Millisecond))
 		}
 	}
 }

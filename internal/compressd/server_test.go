@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -329,6 +330,31 @@ func TestHealthAndMetricsEndpoints(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %s:\n%s", want, body)
 		}
+	}
+}
+
+// TestHTTPDurationUnits pins compressd.http.duration_ms to fractional
+// milliseconds: a truncated duration would record a fast request as 0
+// and every other one as a whole number.
+func TestHTTPDurationUnits(t *testing.T) {
+	s, base := startServer(t, Config{})
+	for i := 0; i < 3; i++ {
+		if code := post(t, base+"/v1/run", RunRequest{Source: "int main(void) { return 0; }"}, nil); code != 200 {
+			t.Fatalf("run = %d", code)
+		}
+	}
+	// The handler observes after writing its response, so the last
+	// observation may land a moment after the client has read it.
+	h := s.cfg.Rec.Histogram("compressd.http.duration_ms")
+	for deadline := time.Now().Add(2 * time.Second); h.Count < 3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		h = s.cfg.Rec.Histogram("compressd.http.duration_ms")
+	}
+	if h.Count != 3 {
+		t.Fatalf("duration histogram count = %d, want 3", h.Count)
+	}
+	if h.Min <= 0 || h.Min == math.Trunc(h.Min) {
+		t.Fatalf("fastest request recorded as %v ms, want a positive fraction", h.Min)
 	}
 }
 

@@ -98,11 +98,12 @@ func (p *Pool) Stats() Stats {
 }
 
 // ForEach runs fn(i) for every i in [0, n), using at most Workers()
-// concurrent goroutines. Submission order is ascending; a task that
-// cannot get a worker token runs inline on the caller. The returned
-// error is deterministic: the error of the lowest failing index,
-// regardless of completion order. ForEach does not cancel in-flight
-// siblings on error — fn must be safe to run to completion.
+// pool goroutines plus the caller. Tasks start in ascending order, each
+// on whichever of them is free; when no worker token is available the
+// caller runs every task itself. The returned error is deterministic:
+// the error of the lowest failing index, regardless of completion
+// order. ForEach does not cancel in-flight siblings on error — fn must
+// be safe to run to completion.
 func (p *Pool) ForEach(label string, n int, fn func(i int) error) error {
 	return p.ForEachSpan(label, n, func(i int, _ *telemetry.Span) error { return fn(i) })
 }
@@ -132,43 +133,100 @@ func (p *Pool) ForEachSpan(label string, n int, fn func(i int, sp *telemetry.Spa
 		}
 		return nil
 	}
-	errs := make([]error, n)
-	// Span parenting is per goroutine, so worker spans are explicitly
-	// seeded under the span open on the submitting goroutine — the trace
-	// keeps its tree shape across the fan-out. Inline (saturated) tasks
-	// run on the submitter and nest naturally.
-	parent := p.rec.CurrentSpanID()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	// Tasks are claimed in ascending order by whoever is free: up to
+	// n-1 helpers, one per worker token available, and the submitter
+	// itself. A helper that is slow to be scheduled leaves its share to
+	// the submitter instead of holding the fan-out up.
+	f := &fanOut{p: p, label: label, n: n, fn: fn, parent: p.rec.CurrentSpanID(), errs: make([]error, n)}
+spawn:
+	for h := 0; h < n-1; h++ {
 		select {
 		case p.tokens <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-p.tokens }()
-				inFlight.Add(1)
-				defer inFlight.Add(-1)
-				sp := p.rec.StartSpanUnder(parent, label,
-					telemetry.Int("index", int64(i)),
-					telemetry.Int("pooled", 1))
-				errs[i] = fn(i, sp)
-				sp.End()
-			}(i)
+			f.wg.Add(1)
+			f.gate.Add(1)
+			go f.help()
 		default:
 			// Pool saturated (possibly by our own parent task in a
-			// nested fan-out): run on the submitting goroutine.
-			sp := p.rec.StartSpan(label, telemetry.Int("index", int64(i)))
-			errs[i] = fn(i, sp)
-			sp.End()
+			// nested fan-out): the submitter runs what is left.
+			break spawn
 		}
 	}
-	wg.Wait()
-	for _, err := range errs {
+	f.claim(false)
+	// The tasks are all claimed. Helpers that have not started have
+	// nothing left to do: close the gate on them and release their
+	// tokens here, so the submitter only waits for running helpers.
+	for pending := f.gate.Swap(-1); pending > 0; pending-- {
+		<-p.tokens
+		f.wg.Done()
+	}
+	f.wg.Wait()
+	for _, err := range f.errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// fanOut is the state one pooled ForEachSpan call shares with its
+// helper goroutines.
+type fanOut struct {
+	p      *Pool
+	label  string
+	n      int
+	fn     func(i int, sp *telemetry.Span) error
+	parent uint64 // span open on the submitting goroutine
+	errs   []error
+	next   atomic.Int64 // next unclaimed task
+	// gate counts helpers whose goroutines have not started yet; the
+	// submitter sets it to -1 once every task is claimed.
+	gate atomic.Int64
+	wg   sync.WaitGroup
+}
+
+// help is a helper goroutine's body: unless the gate has closed (the
+// submitter then released this helper's token), claim tasks until none
+// are left.
+func (f *fanOut) help() {
+	for {
+		g := f.gate.Load()
+		if g < 0 {
+			return
+		}
+		if f.gate.CompareAndSwap(g, g-1) {
+			break
+		}
+	}
+	defer f.wg.Done()
+	defer func() { <-f.p.tokens }()
+	f.claim(true)
+}
+
+// claim runs unclaimed tasks until none are left. Span parenting is per
+// goroutine, so helper spans are explicitly seeded under the span open
+// on the submitting goroutine — the trace keeps its tree shape across
+// the fan-out; tasks the submitter runs nest naturally.
+func (f *fanOut) claim(pooled bool) {
+	for {
+		i := int(f.next.Add(1) - 1)
+		if i >= f.n {
+			return
+		}
+		var sp *telemetry.Span
+		if pooled {
+			inFlight.Add(1)
+			sp = f.p.rec.StartSpanUnder(f.parent, f.label,
+				telemetry.Int("index", int64(i)),
+				telemetry.Int("pooled", 1))
+		} else {
+			sp = f.p.rec.StartSpan(f.label, telemetry.Int("index", int64(i)))
+		}
+		f.errs[i] = f.fn(i, sp)
+		sp.End()
+		if pooled {
+			inFlight.Add(-1)
+		}
+	}
 }
 
 // Map fans fn out over [0, n) through p and returns the results in

@@ -164,8 +164,17 @@ func TestStartLifecycle(t *testing.T) {
 	if !strings.Contains(summary.String(), "debug: serving http://") {
 		t.Fatalf("no startup line: %q", summary.String())
 	}
-	time.Sleep(5 * time.Millisecond)
-	if _, body := get(t, "http://"+tool.Server.Addr()+"/metrics"); !strings.Contains(body, "runtime_goroutines") {
+	// The sampler ticks every millisecond, but a loaded host may delay
+	// its first tick; poll until it shows up instead of guessing a sleep.
+	var body string
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		_, body = get(t, "http://"+tool.Server.Addr()+"/metrics")
+		if strings.Contains(body, "runtime_goroutines") || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !strings.Contains(body, "runtime_goroutines") {
 		t.Fatalf("sampler gauges missing from /metrics: %.200q", body)
 	}
 	if err := tool.Close(); err != nil {

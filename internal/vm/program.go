@@ -92,21 +92,22 @@ func (p *Program) Global(name string) *GlobalData {
 // ComputeBlockStarts fills BlockStarts from the code: function entries,
 // branch/jump targets, and instructions following block enders.
 func (p *Program) ComputeBlockStarts() {
-	mark := make(map[int]bool)
+	mark := make([]bool, len(p.Code))
+	set := func(i int) {
+		if i >= 0 && i < len(mark) {
+			mark[i] = true
+		}
+	}
 	for _, f := range p.Funcs {
-		mark[f.Entry] = true
+		set(f.Entry)
 	}
 	for i, ins := range p.Code {
 		switch {
 		case ins.Op.IsBranch() || ins.Op == JMP:
-			mark[int(ins.Target)] = true
-			mark[i+1] = true
-		case ins.Op == CALL:
-			mark[i+1] = true
-		case ins.Op == RJR || ins.Op == EPI || ins.Op == HALT:
-			if i+1 < len(p.Code) {
-				mark[i+1] = true
-			}
+			set(int(ins.Target))
+			set(i + 1)
+		case ins.Op == CALL || ins.Op == RJR || ins.Op == EPI || ins.Op == HALT:
+			set(i + 1)
 		}
 	}
 	p.BlockStarts = p.BlockStarts[:0]
