@@ -62,6 +62,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzCompile$$' -fuzztime=$(FUZZTIME) ./internal/cc/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeVsSlow$$' -fuzztime=$(FUZZTIME) ./internal/huffman/
 	$(GO) test -run='^$$' -fuzz='^FuzzMTFDiff$$' -fuzztime=$(FUZZTIME) ./internal/mtf/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeProgram$$' -fuzztime=$(FUZZTIME) ./internal/native/
 
 vet:
 	$(GO) vet ./...

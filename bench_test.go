@@ -805,10 +805,11 @@ func BenchmarkRawDecode(b *testing.B) {
 	})
 }
 
-// BenchmarkInterpDispatch measures the BRISC interpreter's dispatch
-// loop: full kernel runs, reported in executed steps per second. The
-// step count itself is deterministic and gates in benchdiff; steps/s
-// is timing-derived and excluded.
+// BenchmarkInterpDispatch measures the dispatch loops of the BRISC
+// interpreter (sieve, matmul) and of the VM (vm/sieve, vm/matmul) on
+// full kernel runs, reported in executed steps per second. The step
+// count itself is deterministic and gates in benchdiff; steps/s is
+// timing-derived and excluded.
 func BenchmarkInterpDispatch(b *testing.B) {
 	for _, name := range []string{"sieve", "matmul"} {
 		prog := kernelProgram(b, name)
@@ -817,22 +818,38 @@ func BenchmarkInterpDispatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
-			var steps int64
-			defer allocTracked(b)()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			benchDispatch(b, func() (int64, error) {
 				it := brisc.NewInterp(obj, 0, io.Discard)
-				if _, err := it.Run(0); err != nil {
-					b.Fatal(err)
-				}
-				steps = it.Steps
-			}
-			b.StopTimer()
-			report(b, float64(steps), "steps")
-			if ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N); ns > 0 {
-				report(b, float64(steps)/ns*1e9, "steps/s")
-			}
+				_, err := it.Run(0)
+				return it.Steps, err
+			})
 		})
+		b.Run("vm/"+name, func(b *testing.B) {
+			benchDispatch(b, func() (int64, error) {
+				m := vm.NewMachine(prog, 0, io.Discard)
+				_, err := m.Run(0)
+				return m.Steps, err
+			})
+		})
+	}
+}
+
+// benchDispatch times b.N calls of run, which executes one whole
+// program and returns its step count.
+func benchDispatch(b *testing.B, run func() (int64, error)) {
+	var steps int64
+	defer allocTracked(b)()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if steps, err = run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	report(b, float64(steps), "steps")
+	if ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N); ns > 0 {
+		report(b, float64(steps)/ns*1e9, "steps/s")
 	}
 }
 

@@ -346,10 +346,11 @@ func (c *compressor) scanAnchor(i int, out [][]candRec) {
 func (c *compressor) score() ([]scoredCand, bool) {
 	sc := c.sc
 	list := sc.scored[:0]
+	floor := benefitFloor(c.opt.AbundantMemory)
 	w := c.fanWidth(c.numCands())
 	if w == 1 {
 		for t := range c.tables {
-			list = c.scoreTable(&c.tables[t], list)
+			list = c.scoreTable(&c.tables[t], floor, list)
 		}
 		return list, false
 	}
@@ -359,7 +360,7 @@ func (c *compressor) score() ([]scoredCand, bool) {
 	c.pool.ForEach("brisc.score", w, func(k int) error {
 		part := sc.scoreParts[k][:0]
 		for t := k; t < len(c.tables); t += w {
-			part = c.scoreTable(&c.tables[t], part)
+			part = c.scoreTable(&c.tables[t], floor, part)
 		}
 		sc.scoreParts[k] = part
 		return nil
@@ -370,15 +371,18 @@ func (c *compressor) score() ([]scoredCand, bool) {
 	return list, true
 }
 
-func (c *compressor) scoreTable(t *candTable, dst []scoredCand) []scoredCand {
+// scoreTable appends t's candidates with positive benefit to dst. An
+// entry whose savings do not exceed floor (benefitFloor) cannot have
+// one and is skipped before its costs are looked up.
+func (c *compressor) scoreTable(t *candTable, floor int32, dst []scoredCand) []scoredCand {
 	for k := range t.slots {
 		e := &t.slots[k]
-		if e.count == 0 {
-			continue
+		if e.savings <= floor {
+			continue // also every empty slot: its savings are 0
 		}
 		b := int(e.savings) - c.dictCostOfKey(e.key)
 		if !c.opt.AbundantMemory {
-			b -= 12 + 11*c.seqLenOfKey(e.key)
+			b -= tableCostW(c.seqLenOfKey(e.key))
 		}
 		if b > 0 {
 			dst = append(dst, scoredCand{key: e.key, st: e.candStat, b: int32(b)})

@@ -177,6 +177,14 @@ type compressor struct {
 	flocCache     [][]floc         // unfixed-field locations
 	specCache     [][]int          // -1 plus each specializable field
 	dictCostCache []int            // dictEntryBytes
+	seqOf         []int32          // opcode-sequence id (see internSeq)
+
+	// seqNext is the opcode-sequence trie: the id of a sequence extended
+	// by one opcode. Id 0 is the empty sequence; every prefix of every
+	// dictionary pattern has an id, and two patterns share an id exactly
+	// when their opcode sequences are equal. numSeqs counts the ids.
+	seqNext map[seqEdge]int32
+	numSeqs int32
 
 	// tables hold the persistent candidate statistics, one table per
 	// pool worker (see cands.go): the exact sum of per-anchor
@@ -198,7 +206,7 @@ type compressor struct {
 func (c *compressor) release() {
 	sc := c.sc
 	c.sc = nil
-	sc.dict, sc.flocs, sc.specs, sc.dictCost = c.dict, c.flocCache, c.specCache, c.dictCostCache
+	sc.dict, sc.flocs, sc.specs, sc.dictCost, sc.seqOf = c.dict, c.flocCache, c.specCache, c.dictCostCache, c.seqOf
 	compressPool.Put(sc)
 }
 
@@ -229,7 +237,46 @@ func (c *compressor) addDict(p Pattern, h uint64) int {
 	c.flocCache = append(c.flocCache, fl)
 	c.specCache = append(c.specCache, specs)
 	c.dictCostCache = append(c.dictCostCache, dictEntryBytes(p))
+	s := int32(0)
+	for _, pi := range p.Seq {
+		s = c.internSeq(s, pi.Op)
+	}
+	c.seqOf = append(c.seqOf, s)
 	return id
+}
+
+// seqEdge is one edge of the opcode-sequence trie: a sequence id and
+// the opcode appended to it.
+type seqEdge struct {
+	seq int32
+	op  vm.Opcode
+}
+
+// internSeq returns the id of sequence s extended by op, assigning the
+// next id the first time the extension is seen.
+func (c *compressor) internSeq(s int32, op vm.Opcode) int32 {
+	e := seqEdge{s, op}
+	if t, ok := c.seqNext[e]; ok {
+		return t
+	}
+	t := c.numSeqs
+	c.seqNext[e] = t
+	c.numSeqs++
+	return t
+}
+
+// findSeq returns the id of the opcode sequence of seq, or -1 when no
+// dictionary pattern begins with it — then no unit's pattern has it.
+func (c *compressor) findSeq(seq []PatInstr) int32 {
+	s := int32(0)
+	for _, pi := range seq {
+		t, ok := c.seqNext[seqEdge{s, pi.Op}]
+		if !ok {
+			return -1
+		}
+		s = t
+	}
+	return s
 }
 
 // findDict returns the id of the installed pattern structurally equal
@@ -269,6 +316,11 @@ func (c *compressor) buildUnits(p *vm.Program) error {
 	c.flocCache = sc.flocs[:0]
 	c.specCache = sc.specs[:0]
 	c.dictCostCache = sc.dictCost[:0]
+	c.seqOf = sc.seqOf[:0]
+	if sc.seqNext == nil {
+		sc.seqNext = make(map[seqEdge]int32, 2*vm.NumOpcodes)
+	}
+	c.seqNext, c.numSeqs = sc.seqNext, 1
 	c.dictIdx = make(map[uint64][]int, 2*vm.NumOpcodes)
 	c.addDict(Pattern{}, patternHash(Pattern{})) // opcode 0 placeholder
 	for op := 1; op < vm.NumOpcodes; op++ {
@@ -342,12 +394,33 @@ func dictEntryBytes(p Pattern) int {
 	return n
 }
 
-// tableCostW models the decoder's per-entry working-set cost: the
-// native handler sequence for the pattern, averaged over the two
-// simulated targets (standing in for the paper's Pentium/PowerPC 601
-// averages — their example gives W=25 for a one-instruction pattern).
-func tableCostW(p Pattern) int {
-	return 12 + 11*len(p.Seq)
+// tableCostW models the decoder's per-entry working-set cost of a
+// pattern of n instructions: the native handler sequence, averaged over
+// the two simulated targets (standing in for the paper's Pentium/
+// PowerPC 601 averages — their example gives W=25 for a
+// one-instruction pattern).
+func tableCostW(n int) int {
+	return 12 + 11*n
+}
+
+// benefitFloor is the savings at or below which no candidate can have
+// B > 0: the least dictionary-plus-table cost of any candidate that
+// denotes a new pattern. A candidate fixes one operand field of a
+// pattern of at least one instruction (a field bitmap byte plus at
+// least one value byte), or concatenates two patterns of at least one
+// instruction each; it costs at least what the smallest of those two
+// shapes costs. (A key that combines with the empty placeholder
+// pattern 0 without fixing a field costs less, but denotes an existing
+// entry, which adopt skips.)
+func benefitFloor(abundant bool) int32 {
+	spec := Pattern{Seq: []PatInstr{{Fixed: []bool{true}, Val: []int32{0}}}}
+	comb := Pattern{Seq: make([]PatInstr, 2)}
+	specCost, combCost := dictEntryBytes(spec), dictEntryBytes(comb)
+	if !abundant {
+		specCost += tableCostW(len(spec.Seq))
+		combCost += tableCostW(len(comb.Seq))
+	}
+	return int32(min(specCost, combCost))
 }
 
 // floc locates one unfixed field within a pattern.
@@ -485,7 +558,7 @@ func (c *compressor) adopt() []int {
 		ids = append(ids, c.addDict(p, h))
 		if c.rec.Enabled() {
 			c.rec.Add("brisc.dict.savings_p", int64(s.st.savings))
-			c.rec.Add("brisc.dict.cost_w", int64(tableCostW(p)))
+			c.rec.Add("brisc.dict.cost_w", int64(tableCostW(len(p.Seq))))
 			c.rec.Observe("brisc.adopt.benefit", float64(s.b))
 			c.rec.Observe("brisc.adopt.occurrences", float64(s.st.count))
 		}
@@ -549,8 +622,27 @@ func (c *compressor) rewrite(newIDs []int) {
 // per-block-run scans. Chunk the unit array at block starts, scan
 // chunks concurrently into per-chunk buffers, and concatenate in chunk
 // order — provably identical to the serial pass.
+//
+// A combinator can cover a pair only when the pair's two opcode
+// sequences are its own split in two, so each combinator is indexed
+// under every split whose halves both have sequence ids, and a pair
+// tries only the combinators filed under its units' sequences, in
+// combinator order.
 func (c *compressor) combineUnits(combinators []int, track bool) {
 	sc := c.sc
+	ix := &sc.seqIdx
+	for _, id := range combinators {
+		seq := c.dict[id].Seq
+		pre := int32(0)
+		for s := 1; s < len(seq); s++ {
+			pre = c.seqNext[seqEdge{pre, seq[s-1].Op}]
+			if suf := c.findSeq(seq[s:]); suf >= 0 {
+				ix.add(pre, suf, id)
+			}
+		}
+	}
+	ix.link(c.numSeqs)
+	defer ix.reset()
 	chunks := c.blockChunks()
 	for len(sc.chunkUnits) < len(chunks) {
 		sc.chunkUnits = append(sc.chunkUnits, nil)
@@ -569,15 +661,22 @@ func (c *compressor) combineUnits(combinators []int, track bool) {
 			u := &c.units[i]
 			if i+1 < hi && !c.units[i+1].block {
 				v := &c.units[i+1]
-				oldSize := c.dict[u.pat].encodedSize(u.vals) + c.dict[v.pat].encodedSize(v.vals)
-				best, bestSize := -1, oldSize
-				for _, id := range combinators {
-					p := &c.dict[id]
+				vs := c.seqOf[v.pat]
+				best, bestSize := -1, -1
+				for k := ix.head[c.seqOf[u.pat]]; k >= 0; k = ix.ents[k].next {
+					e := &ix.ents[k]
+					if e.sub != vs {
+						continue
+					}
+					p := &c.dict[e.id]
 					if !p.matchesPair(u.instrs, v.instrs) {
 						continue
 					}
+					if bestSize < 0 {
+						bestSize = c.dict[u.pat].encodedSize(u.vals) + c.dict[v.pat].encodedSize(v.vals)
+					}
 					if sz := p.encodedSizePair(u.instrs, v.instrs); sz < bestSize {
-						best, bestSize = id, sz
+						best, bestSize = int(e.id), sz
 					}
 				}
 				if best >= 0 {
@@ -674,9 +773,18 @@ func (c *compressor) combineUnits(combinators []int, track bool) {
 // repattern re-covers units with cheaper new patterns: a pure per-unit
 // decision against the read-only dictionary, sharded across the pool
 // into per-span change lists (each carrying the unit's new operand
-// values) and applied serially.
+// values) and applied serially. A pattern can match a unit only when
+// their opcode sequences are equal, so the specializers are bucketed
+// by sequence id and each unit tries only its own bucket, in
+// specializers order.
 func (c *compressor) repattern(specializers []int, track bool) {
 	sc := c.sc
+	ix := &sc.seqIdx
+	for _, id := range specializers {
+		ix.add(c.seqOf[id], -1, id)
+	}
+	ix.link(c.numSeqs)
+	defer ix.reset()
 	spans := parallel.Ranges(len(c.units), c.pool.Workers())
 	for len(sc.changeShards) < len(spans) {
 		sc.changeShards = append(sc.changeShards, nil)
@@ -687,11 +795,16 @@ func (c *compressor) repattern(specializers []int, track bool) {
 		vals := &sc.repatVals[si]
 		for i := spans[si][0]; i < spans[si][1]; i++ {
 			u := &c.units[i]
+			k := ix.head[c.seqOf[u.pat]]
+			if k < 0 {
+				continue
+			}
 			curSize := c.dict[u.pat].encodedSize(u.vals)
 			best := -1
-			for _, id := range specializers {
+			for ; k >= 0; k = ix.ents[k].next {
+				id := int(ix.ents[k].id)
 				p := &c.dict[id]
-				if len(p.Seq) != len(u.instrs) || !p.matches(u.instrs) {
+				if !p.matches(u.instrs) {
 					continue
 				}
 				if sz := p.encodedSizeInstrs(u.instrs); sz < curSize {

@@ -100,8 +100,10 @@ func TestCandidateStatsMatchRescan(t *testing.T) {
 }
 
 // checkRescan compares c's candidate tables with a from-scratch serial
-// scan of c's unit array.
+// scan of c's unit array, and checks that every candidate costs at
+// least the scoring floor, so the floor can never hide one with B > 0.
 func checkRescan(c *compressor) error {
+	floor := benefitFloor(c.opt.AbundantMemory)
 	if len(c.tables) != c.pool.Workers() {
 		return fmt.Errorf("%d tables for %d workers", len(c.tables), c.pool.Workers())
 	}
@@ -134,6 +136,13 @@ func checkRescan(c *compressor) error {
 			}
 			if w, ok := want[e.key]; !ok || w != e.candStat {
 				return fmt.Errorf("key %+v: table has %+v, rescan has %+v (present %v)", e.key, e.candStat, w, ok)
+			}
+			cost := c.dictCostOfKey(e.key)
+			if !c.opt.AbundantMemory {
+				cost += tableCostW(c.seqLenOfKey(e.key))
+			}
+			if int32(cost) < floor {
+				return fmt.Errorf("key %+v costs %d, below the scoring floor %d", e.key, cost, floor)
 			}
 		}
 		if live != tb.live {

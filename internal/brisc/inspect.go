@@ -191,7 +191,7 @@ func (insp *Inspection) buildDict() {
 			Pattern: p.String(),
 			Instrs:  len(p.Seq),
 			Learned: pid >= vm.NumOpcodes,
-			ModelW:  tableCostW(p),
+			ModelW:  tableCostW(len(p.Seq)),
 		}
 		if d.Learned {
 			d.EntryBytes = len(appendPattern(nil, p))

@@ -118,9 +118,7 @@ func (it *Interp) Reset() {
 	for i := range it.Mem {
 		it.Mem[i] = 0
 	}
-	for _, g := range it.Obj.Globals {
-		copy(it.Mem[g.Addr:], g.Init)
-	}
+	vm.LoadGlobals(it.Mem, it.Obj.Globals)
 	it.Regs = [vm.NumRegs]int32{}
 	it.Regs[vm.RegSP] = int32(len(it.Mem))
 	it.PC = 0
@@ -503,6 +501,9 @@ func (it *Interp) trap(id int32) error {
 	case vm.TrapPutchar:
 		it.print(string(rune(byte(arg))))
 	case vm.TrapPuts:
+		if arg < 0 {
+			return fmt.Errorf("%w: string at %d", ErrMemFault, arg)
+		}
 		end := arg
 		for int(end) < len(it.Mem) && it.Mem[end] != 0 {
 			end++

@@ -117,6 +117,7 @@ type compressScratch struct {
 	chunks     [][2]int
 	starts     []int
 	adopted    []int
+	seqIdx     seqIndex // the rewrite's patterns by opcode sequence
 
 	// Per-chunk / per-span rewrite buffers (≤ pool workers of each).
 	// Arenas are indexed by chunk, and chunks are disjoint, so workers
@@ -133,6 +134,8 @@ type compressScratch struct {
 	flocs    [][]floc
 	specs    [][]int
 	dictCost []int
+	seqOf    []int32
+	seqNext  map[seqEdge]int32
 }
 
 // compressPool recycles scratch arenas across Compress calls. The
@@ -169,6 +172,7 @@ var compressPool = parallel.NewScratch(
 			sc.specs[i] = nil
 		}
 		sc.specs = sc.specs[:0]
+		clear(sc.seqNext)
 		for i := range sc.units {
 			sc.units[i] = unit{}
 		}
@@ -187,6 +191,47 @@ var compressPool = parallel.NewScratch(
 		}
 	},
 )
+
+// seqIndex files dictionary ids in buckets keyed by an opcode-sequence
+// id, each entry carrying a second sequence id (sub) the reader
+// filters on. A bucket lists its entries in the order they were added.
+// head has one slot per sequence id, -1 for an empty bucket; reset
+// empties only the buckets the last link filled, so a rewrite pays for
+// the patterns it indexes, not for the size of the dictionary.
+type seqIndex struct {
+	head []int32
+	ents []seqEnt
+}
+
+type seqEnt struct {
+	seq, sub int32 // bucket key and second key
+	id       int32 // dictionary id
+	next     int32 // next entry in the bucket, -1 at its end
+}
+
+func (x *seqIndex) add(seq, sub int32, id int) {
+	x.ents = append(x.ents, seqEnt{seq: seq, sub: sub, id: int32(id)})
+}
+
+// link chains the added entries into their buckets, for sequence ids
+// below n.
+func (x *seqIndex) link(n int32) {
+	for int32(len(x.head)) < n {
+		x.head = append(x.head, -1)
+	}
+	for k := len(x.ents) - 1; k >= 0; k-- {
+		e := &x.ents[k]
+		e.next = x.head[e.seq]
+		x.head[e.seq] = int32(k)
+	}
+}
+
+func (x *seqIndex) reset() {
+	for _, e := range x.ents {
+		x.head[e.seq] = -1
+	}
+	x.ents = x.ents[:0]
+}
 
 // candTables returns n empty candidate tables.
 func (sc *compressScratch) candTables(n int) []candTable {

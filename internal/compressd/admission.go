@@ -113,7 +113,7 @@ func (a *admission) Acquire(ctx context.Context, estMem int64) (release func(), 
 	start := time.Now()
 	defer func() {
 		a.queued.Add(-1)
-		a.rec.Observe("compressd.admission.queue_wait_ms", float64(time.Since(start).Milliseconds()))
+		a.rec.Observe("compressd.admission.queue_wait_ms", float64(time.Since(start))/float64(time.Millisecond))
 	}()
 	select {
 	case a.sem <- struct{}{}:

@@ -3,6 +3,7 @@ package compressd
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
@@ -69,6 +70,44 @@ func TestAdmissionQueueOverflowSheds(t *testing.T) {
 	release()
 	if err := <-waiterIn; err != nil {
 		t.Fatalf("queued waiter should be admitted after release: %v", err)
+	}
+}
+
+// TestAdmissionQueueWaitUnits pins compressd.admission.queue_wait_ms to
+// fractional milliseconds: a truncated wait would record a short one
+// as 0 and every other one as a whole number.
+func TestAdmissionQueueWaitUnits(t *testing.T) {
+	a := testAdmission(AdmissionConfig{MaxInFlight: 1, MaxQueue: 1})
+	release, err := a.Acquire(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiterIn := make(chan error, 1)
+	go func() {
+		r, err := a.Acquire(context.Background(), 0)
+		if err == nil {
+			r()
+		}
+		waiterIn <- err
+	}()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if _, queued, _ := a.Stats(); queued == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never queued")
+		}
+	}
+	release()
+	if err := <-waiterIn; err != nil {
+		t.Fatalf("queued waiter should be admitted after release: %v", err)
+	}
+	h := a.rec.Histogram("compressd.admission.queue_wait_ms")
+	if h.Count != 1 {
+		t.Fatalf("queue-wait histogram count = %d, want 1", h.Count)
+	}
+	if h.Min <= 0 || h.Min == math.Trunc(h.Min) {
+		t.Fatalf("queued wait recorded as %v ms, want a positive fraction", h.Min)
 	}
 }
 

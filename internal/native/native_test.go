@@ -2,6 +2,7 @@ package native
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -132,6 +133,28 @@ func TestDecodeErrors(t *testing.T) {
 		// never panic.
 		_, _ = DecodeVariable(enc[:cut])
 	}
+}
+
+// TestGlobalOutsideDataSegment: a container whose global lies past its
+// data segment is rejected, and a machine whose memory is smaller than
+// the data segment still loads the program — the bytes it cannot hold
+// are unreachable — instead of panicking (both found by
+// FuzzDecodeProgram).
+func TestGlobalOutsideDataSegment(t *testing.T) {
+	prog := compileProg(t, sampleSrc)
+	bad := *prog
+	bad.Globals = append(append([]vm.GlobalData(nil), prog.Globals...),
+		vm.GlobalData{Name: "far", Addr: int32(prog.DataSize), Size: 4, Init: []byte{1, 2, 3, 4}})
+	if _, err := DecodeProgram(EncodeProgram(&bad)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("global past the data segment: err = %v, want ErrCorrupt", err)
+	}
+	big := bad
+	big.DataSize += 4
+	p, err := DecodeProgram(EncodeProgram(&big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm.NewMachine(p, 16, nil)
 }
 
 func randInstr(rng *rand.Rand) vm.Instr {

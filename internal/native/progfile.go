@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/vm"
 )
@@ -55,7 +56,7 @@ func DecodeProgram(data []byte) (*vm.Program, error) {
 		return nil, err
 	}
 	ds, err := r.uv()
-	if err != nil || ds > 1<<31 {
+	if err != nil || ds > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: data size", ErrCorrupt)
 	}
 	p.DataSize = int(ds)
@@ -79,6 +80,9 @@ func DecodeProgram(data []byte) (*vm.Program, error) {
 		il, err := r.uv()
 		if err != nil || il > size {
 			return nil, fmt.Errorf("%w: global init", ErrCorrupt)
+		}
+		if addr > ds || size > ds-addr {
+			return nil, fmt.Errorf("%w: global %q outside the data segment", ErrCorrupt, g.Name)
 		}
 		g.Addr, g.Size = int32(addr), int(size)
 		if g.Init, err = r.take(int(il)); err != nil {

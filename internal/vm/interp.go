@@ -75,9 +75,7 @@ func (m *Machine) Reset() {
 	for i := range m.Mem {
 		m.Mem[i] = 0
 	}
-	for _, g := range m.Prog.Globals {
-		copy(m.Mem[g.Addr:], g.Init)
-	}
+	LoadGlobals(m.Mem, m.Prog.Globals)
 	m.Regs = [NumRegs]int32{}
 	m.Regs[RegSP] = int32(len(m.Mem))
 	m.PC = 0
@@ -173,10 +171,14 @@ func (m *Machine) Run(maxSteps int64) (int32, error) {
 		l.MaxSteps = maxSteps
 	}
 	g := guard.New("vm", l, ErrOutOfSteps)
+	// The zero governor never traps, so an unlimited run skips it.
+	checked := !l.Zero()
 	for !m.Halted {
-		if err := g.Check(m.Steps, m.Depth, int64(m.PC)); err != nil {
-			m.recordTrap(err)
-			return 0, err
+		if checked {
+			if err := g.Check(m.Steps, m.Depth, int64(m.PC)); err != nil {
+				m.recordTrap(err)
+				return 0, err
+			}
 		}
 		if err := m.Step(); err != nil {
 			return 0, err
@@ -362,6 +364,9 @@ func (m *Machine) trap(id int32) error {
 	case TrapPutchar:
 		m.print(string(rune(byte(arg))))
 	case TrapPuts:
+		if arg < 0 {
+			return fmt.Errorf("%w: string at %d", ErrMemFault, arg)
+		}
 		end := arg
 		for int(end) < len(m.Mem) && m.Mem[end] != 0 {
 			end++

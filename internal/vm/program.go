@@ -59,6 +59,18 @@ type GlobalData struct {
 	Init []byte
 }
 
+// LoadGlobals copies each global's initial bytes into mem at its
+// address. Bytes that would land outside mem are dropped: no load or
+// store can reach those addresses (it faults), so a data segment larger
+// than the machine's memory fails at the access, not at load.
+func LoadGlobals(mem []byte, globals []GlobalData) {
+	for _, g := range globals {
+		if g.Addr >= 0 && int(g.Addr) < len(mem) {
+			copy(mem[g.Addr:], g.Init)
+		}
+	}
+}
+
 // Func looks up a function by name.
 func (p *Program) Func(name string) *FuncInfo {
 	for i := range p.Funcs {

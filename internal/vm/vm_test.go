@@ -164,6 +164,7 @@ func TestInterpFaults(t *testing.T) {
 		{"oob-store", []Instr{{Op: LDI, Rd: 4, Imm: 1 << 30}, {Op: STW, Rs1: 4, Rs2: 4}}, ErrMemFault},
 		{"run-off-end", []Instr{{Op: LDI, Rd: 4, Imm: 0}}, ErrBadPC},
 		{"bad-jump", []Instr{{Op: JMP, Target: -5}}, ErrBadPC},
+		{"puts-negative", []Instr{{Op: LDI, Rd: RegArg0, Imm: -5}, {Op: TRAP, Imm: TrapPuts}}, ErrMemFault},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
